@@ -223,6 +223,8 @@ class BlockManager:
 
     def shared_blocks_held(self, seq_id: int) -> int:
         """Blocks in a sequence's table that other sequences also map."""
+        if not self._shared_count:
+            return 0  # nothing in the pool is shared: skip the table scan
         table = self._tables.get(seq_id)
         if not table:
             return 0
@@ -568,9 +570,19 @@ class AllocationPolicy(abc.ABC):
 
     The scheduler consults the policy at three points: request intake
     (:meth:`fits_at_all`), admission (:meth:`can_admit` / :meth:`admit`) and
-    every iteration boundary (:meth:`blocks_deficit` / :meth:`grow`, which
-    only the on-demand policy exercises).  :meth:`release` returns a
-    sequence's blocks on finish *or* preemption.
+    iteration boundaries (:meth:`blocks_deficit` / :meth:`grow`, which only
+    the on-demand policy exercises).  :meth:`release` returns a sequence's
+    blocks on finish *or* preemption.
+
+    Due-set contract of the boundary hooks: the scheduler calls
+    :meth:`blocks_deficit` only for the sequences *due* at a boundary —
+    those finishing (re-)prefill in the coming iteration, and decoding
+    sequences whose ``prompt + generated + 1`` has reached
+    :attr:`Sequence.kv_check_tokens <repro.serving.request.Sequence.kv_check_tokens>`.
+    A growing policy must therefore keep that threshold at or below the
+    first appended-token count whose write could need a block or touch a
+    prefix-registered block; a sequence it never arms (threshold 0) is
+    checked on every emitting iteration.
 
     Requests carrying a ``prefix_id`` are admitted through the pool's
     prefix-sharing path in either policy; requests without one take the
@@ -713,33 +725,61 @@ class OnDemandPolicy(AllocationPolicy):
             and request.prefix_tokens % self.pool.block_size != 0
         )
 
+    def _prefix_region(self, request: Request) -> int:
+        """Tokens covered by the request's prefix-region block slots.
+
+        ``ceil(prefix_tokens / block_size) * block_size`` (0 without a
+        ``prefix_id``): every block slot the prefix index can register or
+        share lies below it, so a write at or past it always lands in a
+        private, unregistered block.
+        """
+        block_size = self.pool.block_size
+        return -(-request.prefix_tokens // block_size) * block_size
+
     def blocks_deficit(self, seq: Sequence, prefill_chunk: int | None = None) -> int:
         """Blocks the next emitting iteration needs (growth or one CoW copy).
 
-        Not a pure query: when the write needs no blocks but targets a
-        registered prefix block this sequence holds alone, the block is
-        un-registered *here* — the scheduler only calls :meth:`grow` on a
-        positive deficit, and the iteration boundary is the last point
-        before the divergent write.  The scheduler calls this exactly once
-        per running sequence per boundary.
+        Not a pure query, in two ways.  When the write needs no blocks but
+        targets a registered prefix block this sequence holds alone, the
+        block is un-registered *here* — the scheduler only calls
+        :meth:`grow` on a positive deficit, and the iteration boundary is
+        the last point before the divergent write.  And when the write lands
+        past the prefix region in a block the sequence already holds, the
+        sequence's :attr:`~repro.serving.request.Sequence.kv_check_tokens`
+        is armed to ``blocks_held * block_size + 1``: every write below that
+        count is into a held, private, unregistered block (deficit 0, no
+        side effect), so the scheduler skips the sequence until its next
+        token crosses into an unallocated block.  Inside the prefix region —
+        the partial tail block, whose sharing state other sequences'
+        admissions and releases change — the threshold is left unarmed and
+        the sequence stays due on every emitting iteration.
         """
         if not seq.emits_token_this_iteration(prefill_chunk):
             return 0  # mid-prefill chunks stay within the admission allocation
-        tokens_after = seq.request.prompt_tokens + seq.generated_tokens + 1
-        needed = self.pool.blocks_needed(tokens_after)
-        growth = max(0, needed - self.pool.blocks_held(seq.request.request_id))
-        if growth:
+        request = seq.request
+        seq_id = request.request_id
+        pool = self.pool
+        tokens_after = request.prompt_tokens + seq.generated_tokens + 1
+        held = pool.blocks_held(seq_id)
+        growth = pool.blocks_needed(tokens_after) - held
+        if growth > 0:
             return growth  # the appended token lands in a fresh private block
-        # The token lands in an existing block.  A still-shared prefix block
-        # must be copied before the write (copy-on-write, costs one block); a
-        # registered block held by this sequence alone costs nothing but must
-        # leave the prefix index *now* — its content is about to diverge, and
-        # the scheduler never calls ``grow`` on a zero deficit, so the free
-        # un-registration happens here.
         write_pos = tokens_after - 1
-        if self.pool.cow_cost(seq.request.request_id, write_pos):
+        if write_pos >= self._prefix_region(request):
+            # A held block past every prefix-registered slot: private, so
+            # neither a copy nor an un-registration can be due until the
+            # table runs out.
+            seq.kv_check_tokens = held * pool.block_size + 1
+            return 0
+        # The token lands in an existing prefix-region block.  A still-shared
+        # prefix block must be copied before the write (copy-on-write, costs
+        # one block); a registered block held by this sequence alone costs
+        # nothing but must leave the prefix index *now* — its content is
+        # about to diverge, and the scheduler never calls ``grow`` on a zero
+        # deficit, so the free un-registration happens here.
+        if pool.cow_cost(seq_id, write_pos):
             return 1
-        self.pool.ensure_writable(seq.request.request_id, write_pos)
+        pool.ensure_writable(seq_id, write_pos)
         return 0
 
     def grow(self, seq: Sequence, num_blocks: int) -> int:
@@ -750,19 +790,25 @@ class OnDemandPolicy(AllocationPolicy):
         victim's release may drop a shared block's last other holder, making
         the planned copy a free un-registration), so the executor re-derives
         boundary growth and falls back to :meth:`BlockManager.ensure_writable`
-        for the copy-on-write case.
+        for the copy-on-write case.  Growth past the prefix region re-arms
+        the sequence's ``kv_check_tokens`` at the end of the grown table.
         """
-        seq_id = seq.request.request_id
-        tokens_after = seq.request.prompt_tokens + seq.generated_tokens + 1
-        needed = self.pool.blocks_needed(tokens_after)
-        growth = max(0, needed - self.pool.blocks_held(seq_id))
+        request = seq.request
+        seq_id = request.request_id
+        pool = self.pool
+        tokens_after = request.prompt_tokens + seq.generated_tokens + 1
+        needed = pool.blocks_needed(tokens_after)
+        growth = max(0, needed - pool.blocks_held(seq_id))
         if growth:
-            self.pool.grow(seq_id, growth)
+            pool.grow(seq_id, growth)
         else:
             # Deficit without boundary growth: the write needs copy-on-write
             # (a no-op if a preemption just dropped the block's last sharer).
-            self.pool.ensure_writable(seq_id, tokens_after - 1)
-        return self.pool.blocks_held(seq_id)
+            pool.ensure_writable(seq_id, tokens_after - 1)
+        held = pool.blocks_held(seq_id)
+        if tokens_after - 1 >= self._prefix_region(request):
+            seq.kv_check_tokens = held * pool.block_size + 1
+        return held
 
 
 #: CLI-selectable allocation policies, keyed by report/CLI name.

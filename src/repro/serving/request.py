@@ -89,9 +89,14 @@ class Request:
         return self.prompt_tokens + self.max_new_tokens
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Sequence:
-    """Engine-side state of one request."""
+    """Engine-side state of one request.
+
+    Compared by identity (``eq=False``): two sequences are the same only if
+    they are the same object, so ``running.remove(victim)`` is a pointer
+    test instead of a field-by-field comparison.
+    """
 
     request: Request
     state: RequestState = RequestState.QUEUED
@@ -130,6 +135,15 @@ class Sequence:
     #: completes, scheduled by the event-driven fast path when prefill
     #: finishes (``None`` outside the fast path / after the finish event).
     finish_iteration: int | None = None
+    #: Engine-internal: on-demand KV check threshold.  While
+    #: ``prompt + generated + 1`` (the appended-token count after the next
+    #: decode write) stays below it, the next write provably needs no new KV
+    #: block and lands in a private, non-prefix block, so the scheduler's
+    #: iteration boundary skips the sequence.  Armed by
+    #: :class:`~repro.serving.kv_cache.OnDemandPolicy` to ``blocks_held *
+    #: block_size + 1`` once the write position is past the prefix region;
+    #: reset to 0 (check every emitting iteration) at each admission.
+    kv_check_tokens: int = 0
     admission_time: float | None = None
     first_token_time: float | None = None
     finish_time: float | None = None
@@ -211,6 +225,7 @@ class Sequence:
         if self.state is not RequestState.QUEUED:
             raise RuntimeError(f"cannot admit a {self.state.value} sequence")
         self.state = RequestState.RUNNING
+        self.kv_check_tokens = 0
         if self.admission_time is None:
             self.admission_time = now
 

@@ -413,14 +413,34 @@ class ContinuousBatchingScheduler:
         """Secure KV blocks for every token the next iteration will append.
 
         Under reservation allocation this is a no-op.  Under on-demand
-        allocation, running sequences are visited in precedence order; when
-        the pool cannot cover a deficit, the scheduling policy picks victims
-        from the lower-precedence tail of the batch, whose blocks are freed
-        and who requeue for recompute-on-resume.  A victim that shares
-        prefix blocks returns only its private ones (the policy therefore
-        prefers low-sharing victims), so several preemptions may be needed
-        to cover one deficit.  A sequence preempts *itself* only when no
-        lower-precedence victim remains (it is the tail).
+        allocation only the *due* sequences are examined: those finishing
+        (re-)prefill in the coming iteration, and decoding sequences whose
+        ``prompt + generated + 1`` has reached their
+        :attr:`~repro.serving.request.Sequence.kv_check_tokens` (the policy
+        arms it once the write position is past the prefix region, so a
+        sequence is due again only when its next token crosses into an
+        unallocated block).  Due sequences are visited in precedence order;
+        when the pool cannot cover a deficit, the scheduling policy picks
+        victims from the lower-precedence tail of the batch, whose blocks
+        are freed and who requeue for recompute-on-resume.  A victim that
+        shares prefix blocks returns only its private ones (the policy
+        therefore prefers low-sharing victims), so several preemptions may
+        be needed to cover one deficit.  A sequence preempts *itself* only
+        when no lower-precedence victim remains (it is the tail).
+
+        Skipping the rest is exact: a sequence that is not due is either
+        mid-prefill, which the admission allocation already covers, or
+        writes into a block it holds that lies past every prefix-registered
+        slot — never shared, never registered — so its deficit is 0 and
+        :meth:`~repro.serving.kv_cache.AllocationPolicy.blocks_deficit`
+        would have had no side effect.  Its held block count only changes
+        through admission (which resets the threshold), growth (which
+        re-arms it) and release — a cross-device migration keeps the count
+        and makes every block private — so the threshold cannot go stale
+        while it runs.
+        Visiting the due sequences in the same precedence order therefore
+        reproduces the full-batch scan's preemptions, growth, copy-on-write
+        and prefix-index un-registrations exactly.
 
         Placement-awareness: a sequence's KV is pinned to its home device,
         so the deficit is measured against *that device's* free blocks and
@@ -433,20 +453,28 @@ class ContinuousBatchingScheduler:
         """
         if not self.allocation.grows or not self.running:
             return []
-        preempted: list[Sequence] = []
         chunk = self.config.prefill_chunk
-        for seq in sorted(self.running, key=self.policy.queue_key):
+        due: list[Sequence] = []
+        for seq in self.running:
+            if seq.prefill_done:
+                if seq.request.prompt_tokens + seq.generated_tokens + 1 >= seq.kv_check_tokens:
+                    due.append(seq)
+            elif chunk is None or seq.prefill_extent - seq.prefill_progress <= chunk:
+                due.append(seq)  # this iteration finishes (re-)prefill
+        preempted: list[Sequence] = []
+        queue_key = self.policy.queue_key
+        due.sort(key=queue_key)
+        for seq in due:
             if seq.state is not RequestState.RUNNING:
                 continue  # already preempted at this boundary
             deficit = self.allocation.blocks_deficit(seq, chunk)
             home = seq.home_device
+            seq_key = queue_key(seq)
             while deficit > self.block_manager.free_blocks_on(home):
                 candidates = [
                     s
                     for s in self.running
-                    if s is not seq
-                    and s.home_device == home
-                    and self.policy.queue_key(s) > self.policy.queue_key(seq)
+                    if s is not seq and s.home_device == home and queue_key(s) > seq_key
                 ]
                 victim = self.policy.select_victim(candidates, self.block_manager)
                 if victim is None:

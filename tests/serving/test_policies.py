@@ -462,6 +462,90 @@ class TestPrefixSharingAdmission:
         assert report.prefix_hit_tokens > 0
         engine.block_manager.assert_no_leaks()
 
+    def test_chunked_prefix_only_prefill_copies_on_first_emit(self):
+        """A prefix-only prompt prefilled in several chunks is checked at the
+        boundary of its prefill-completing iteration: that write lands in the
+        shared partial tail, so copy-on-write must fire even though the
+        earlier chunk boundaries skipped the sequence."""
+        pool = BlockManager(num_blocks=32, block_size=8)
+        sched = ContinuousBatchingScheduler(
+            pool,
+            SchedulerConfig(max_batch_size=8, prefill_chunk=8),
+            allocation=make_allocation_policy("ondemand", pool),
+        )
+        prefix_only = lambda i: Request(  # noqa: E731 - local literal helper
+            request_id=i, arrival_time=0.0, prompt_tokens=20,
+            max_new_tokens=6, prefix_id=0, prefix_tokens=20,
+        )
+
+        def boundary(step):
+            preempted = sched.ensure_capacity()
+            sched.admit(now=float(step))
+            for seq in list(sched.running):
+                seq.advance(now=float(step), prefill_chunk=8)
+            return preempted
+
+        registrar = sched.add_request(prefix_only(0))
+        assert boundary(0) == []  # first 8-token chunk
+        # The sharer maps all three prefix blocks (tail included) and, with
+        # one token left to recompute, emits in the registrar's second chunk.
+        sharer = sched.add_request(prefix_only(1))
+        assert boundary(1) == []
+        assert sharer.prefix_hit_tokens == 19 and sharer.prefill_done
+        assert not registrar.prefill_done and registrar.remaining_prefill == 4
+        assert pool.cow_copies == 0
+        # The registrar's final chunk emits its first token into the tail.
+        assert sched.ensure_capacity() == []
+        assert pool.cow_copies == 1
+        r_table = pool.block_table(registrar.request.request_id)
+        s_table = pool.block_table(sharer.request.request_id)
+        assert r_table[:2] == s_table[:2] and r_table[2] != s_table[2]
+        assert registrar.kv_check_tokens == 0  # still inside the prefix region
+        # The sharer, now sole holder of the indexed tail, wrote into it at
+        # the same boundary, so a late group member hits full blocks only.
+        late = sched.add_request(prefix_only(2))
+        sched.admit(now=3.0)
+        assert late.prefix_hit_tokens == 16
+        pool.check_invariants()
+
+    def test_swap_readmission_resets_threshold_and_still_grows(self):
+        """A swap victim re-admitted with its ``max(written, extent) + 1``
+        allocation starts unarmed, and its next block boundary still grows."""
+        pool = BlockManager(num_blocks=32, block_size=8)
+        sched = ContinuousBatchingScheduler(
+            pool,
+            SchedulerConfig(max_batch_size=8, preempt_mode="swap"),
+            allocation=make_allocation_policy("ondemand", pool),
+        )
+        seq = sched.add_request(req(0, prompt=8, decode=40))
+        seq_id = seq.request.request_id
+
+        def step(now):
+            sched.ensure_capacity()
+            sched.admit(now=now)
+            seq.advance(now=now)
+            # The iteration just run wrote inside the held table.
+            assert pool.blocks_held(seq_id) * 8 >= seq.kv_tokens_written()
+
+        for i in range(10):  # prefill + 9 decode tokens, one growth at 17
+            step(float(i))
+        assert pool.blocks_held(seq_id) == 3
+        assert seq.kv_check_tokens == 25
+        sched._preempt(seq)
+        assert seq.swapped_tokens == 18
+        sched.admit(now=10.0)
+        assert seq.state is RequestState.RUNNING
+        assert seq.kv_check_tokens == 0  # re-admission disarms the threshold
+        assert pool.blocks_held(seq_id) == 3  # max(18, 8) + 1 = 19 tokens
+        held = []
+        for i in range(11, 20):
+            step(float(i))
+            held.append(pool.blocks_held(seq_id))
+        # Token 25 (the first past the 24-token table) grows it exactly once.
+        assert held == [3] * 6 + [4] * 3
+        assert seq.kv_check_tokens == 33
+        pool.check_invariants()
+
 
 class TestPrefixSharingProperties:
     """Shared-prefix traffic beats the identical unshared traffic under
