@@ -19,6 +19,7 @@ router gates, LM head) as kept in FP16.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..core.compensator import compensator_memory_bytes
 from ..core.strategies import PAPER_STRATEGIES, StrategySpec
@@ -106,7 +107,19 @@ def quantized_model_memory_gb(
     asymmetric: bool = True,
     metadata_bits: int = 16,
 ) -> float:
-    """Weight memory of the quantized model without compensators (Table 3 column)."""
+    """Weight memory of the quantized model without compensators (Table 3 column).
+
+    Memoized on its (hashable) arguments: the serving engine's memory check
+    runs once per iteration-cost memo miss, and re-enumerating several
+    hundred weight shapes each time dominated it.
+    """
+    return _quantized_model_memory_gb(spec, bits, group_size, asymmetric, metadata_bits)
+
+
+@lru_cache(maxsize=64)
+def _quantized_model_memory_gb(
+    spec: FullModelSpec, bits: int, group_size: int, asymmetric: bool, metadata_bits: int
+) -> float:
     inventory = build_inventory(spec)
     qparams = inventory.quantizable_params
     entries = 2 if asymmetric else 1

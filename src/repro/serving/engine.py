@@ -800,6 +800,14 @@ class ServingEngine:
         else:
             block_manager.tracer = tracer
 
+    def _latency(self, tokens: int) -> float:
+        """Memoized whole-model backend step latency over ``tokens`` rows."""
+        latency = self._latency_cache.get(tokens)
+        if latency is None:
+            latency = self.backend.iteration_latency(self.spec, tokens).total
+            self._latency_cache[tokens] = latency
+        return latency
+
     def _telemetry_per_device(
         self, tokens: int, home_key: tuple[int, ...]
     ) -> tuple[float, ...]:
@@ -828,20 +836,13 @@ class ServingEngine:
         entry = self._telemetry_cost_cache.get(key)
         if entry is not None:
             return entry
-        latency_cache = self._latency_cache
-        backend = self.backend
-        spec = self.spec
         if self._overlap:
-            num_layers = spec.num_layers
+            num_layers = self.spec.num_layers
             per_device = [0.0] * len(self.device_group)
             for mass in self.layered_placement.layer_mass:
                 for d, load in enumerate(split_tokens(tokens, mass)):
                     if load:
-                        whole = latency_cache.get(load)
-                        if whole is None:
-                            whole = backend.iteration_latency(spec, load).total
-                            latency_cache[load] = whole
-                        per_device[d] += whole / num_layers
+                        per_device[d] += self._latency(load) / num_layers
             entry = tuple(per_device)
         elif pool_tokens is not None:
             computes = []
@@ -852,27 +853,13 @@ class ServingEngine:
                     computes.extend([0.0] * len(placement.device_mass))
                     continue
                 for load in split_tokens(ptokens, placement.device_mass):
-                    if load:
-                        compute = latency_cache.get(load)
-                        if compute is None:
-                            compute = backend.iteration_latency(spec, load).total
-                            latency_cache[load] = compute
-                        computes.append(compute)
-                    else:
-                        computes.append(0.0)
+                    computes.append(self._latency(load) if load else 0.0)
             entry = tuple(computes)
         else:
-            computes = []
-            for load in split_tokens(tokens, self.placement.device_mass):
-                if load:
-                    compute = latency_cache.get(load)
-                    if compute is None:
-                        compute = backend.iteration_latency(spec, load).total
-                        latency_cache[load] = compute
-                    computes.append(compute)
-                else:
-                    computes.append(0.0)
-            entry = tuple(computes)
+            entry = tuple(
+                self._latency(load) if load else 0.0
+                for load in split_tokens(tokens, self.placement.device_mass)
+            )
         if len(self._telemetry_cost_cache) >= 262144:
             self._telemetry_cost_cache.clear()
         self._telemetry_cost_cache[key] = entry
@@ -1027,12 +1014,8 @@ class ServingEngine:
         entry = self._cost_cache.get(key)
         if entry is not None:
             return entry
-        latency_cache = self._latency_cache
         if home_key is None:
-            compute = latency_cache.get(tokens)
-            if compute is None:
-                compute = self.backend.iteration_latency(self.spec, tokens).total
-                latency_cache[tokens] = compute
+            compute = self._latency(tokens)
             entry = (compute, compute, compute, None)
         else:
             step = 0.0
@@ -1044,10 +1027,7 @@ class ServingEngine:
             alltoall_s = self._alltoall_s_per_token
             for d, load in enumerate(split_tokens(tokens, self.placement.device_mass)):
                 if load:
-                    compute = latency_cache.get(load)
-                    if compute is None:
-                        compute = self.backend.iteration_latency(self.spec, load).total
-                        latency_cache[load] = compute
+                    compute = self._latency(load)
                     # Straggler accounting covers only devices that received
                     # token load this iteration: `split_tokens` hands a
                     # low-mass device zero tokens in a small batch, and its
@@ -1095,7 +1075,6 @@ class ServingEngine:
         entry = self._cost_cache.get(key)
         if entry is not None:
             return entry
-        latency_cache = self._latency_cache
         experts_per_token = self.spec.experts_per_token
         alltoall_s = self._alltoall_s_per_token
         prefill = self.config.prefill_devices
@@ -1114,10 +1093,7 @@ class ServingEngine:
             remote_numer = 0
             for d, load in enumerate(split_tokens(pool_tokens, placement.device_mass)):
                 if load:
-                    compute = latency_cache.get(load)
-                    if compute is None:
-                        compute = self.backend.iteration_latency(self.spec, load).total
-                        latency_cache[load] = compute
+                    compute = self._latency(load)
                     iter_compute_s += compute
                     iter_loaded += 1
                 else:
@@ -1160,9 +1136,7 @@ class ServingEngine:
         entry = self._cost_cache.get(key)
         if entry is not None:
             return entry
-        latency_cache = self._latency_cache
         spec = self.spec
-        backend = self.backend
         num_layers = spec.num_layers
         experts_per_token = spec.experts_per_token
         alltoall_layer_s = self._alltoall_s_per_layer_token
@@ -1178,11 +1152,7 @@ class ServingEngine:
             layer_remote = 0.0
             for d, load in enumerate(split_tokens(tokens, mass)):
                 if load:
-                    whole = latency_cache.get(load)
-                    if whole is None:
-                        whole = backend.iteration_latency(spec, load).total
-                        latency_cache[load] = whole
-                    compute = whole / num_layers
+                    compute = self._latency(load) / num_layers
                     layer_sum += compute
                     layer_loaded += 1
                     if compute > layer_max:
@@ -1247,11 +1217,22 @@ class ServingEngine:
     ) -> _RunTotals:
         """The per-iteration loop: correct for every policy combination.
 
-        Structurally the pre-PR-6 loop with the per-iteration work fused
-        into one walk over the batch (token counting + per-device home
-        tokens), the device cost loop memoized, eviction skipped on
-        iterations nothing finished, and ``ensure_capacity`` skipped for
-        non-growing allocation.
+        Every iteration is stepped explicitly (cost memoized, eviction and
+        ``ensure_capacity`` skipped when they cannot act), but only the
+        *prefilling* sequences are walked.  Invariants at every step:
+        ``prefilling`` holds the running sequences still in (re-)prefill in
+        ``running`` order (so first-token events and the disagg handoff
+        order match a walk over ``running``), and every other running
+        sequence is decoding, one token row each, counted by
+        ``decode_count`` and split by home device in ``home_decode``.
+        Membership moves at admission (a swap-resumed decode-phase sequence
+        joins the decode counters directly), preemption (``ensure_capacity``
+        victims, failed handoffs), prefill completion, finish, and handoff
+        or rebalance (``home_decode`` follows ``home_device``).  Per
+        iteration, ``Sequence.advance`` runs over ``prefilling`` and one
+        fused pass applies its decode branch to the decoding sequences, so
+        ``generated_tokens`` is current at every boundary; finish events
+        still come from ``evict_finished`` in ``running`` order.
         """
         clock = 0.0
         next_arrival = 0
@@ -1283,12 +1264,17 @@ class ServingEngine:
         multi = num_devices > 1
         overlap_mode = self._overlap
         disagg = self._disagg
-        swap_mode = scheduler.config.preempt_mode == "swap"
         rebalance_pool = disagg and len(self._decode_pool) > 1
         drift = self._drift if overlap_mode else None
         last_ckey = None
         block_manager = self.block_manager
         finished_state = RequestState.FINISHED
+        running = scheduler.running
+        #: Running sequences still prefilling, in ``running`` order.
+        prefilling: list[Sequence] = []
+        #: Running sequences in decode, and their split by home device.
+        decode_count = 0
+        home_decode = [0] * num_devices
         tracer = self.tracer
         metrics = self.metrics
         #: Next due metrics sample time (``inf`` disables the clock compare).
@@ -1307,34 +1293,37 @@ class ServingEngine:
             if grows:
                 # Running sequences secure the blocks their next token needs
                 # (preempting the low-precedence tail if the pool is dry)
-                # before any queued request may claim free blocks.
-                scheduler.ensure_capacity()
-            admitted = scheduler.admit(clock)
-            if swap_mode and admitted:
-                # Re-admitted swap victims restore their parked KV over the
-                # host link before the batch may step; the stall is serial
-                # (one PCIe link) and charged to the clock.
-                for seq in admitted:
-                    if seq.swapped_tokens:
-                        blocks = block_manager.blocks_needed(seq.swapped_tokens)
-                        stall = blocks * self._swap_s_per_block
-                        resume_t0 = clock
-                        clock += stall
-                        swap_in_s += stall
-                        # What discarding instead would have cost: one
-                        # re-prefill pass over the swapped tokens.
-                        lat = self._latency_cache.get(seq.swapped_tokens)
-                        if lat is None:
-                            lat = self.backend.iteration_latency(
-                                self.spec, seq.swapped_tokens
-                            ).total
-                            self._latency_cache[seq.swapped_tokens] = lat
-                        recompute_equivalent_s += lat
-                        if tracer is not None:
-                            tracer.swap_in(seq, resume_t0, clock, blocks, stall)
-                            tracer.now = clock
-                        seq.swapped_tokens = 0
-            running = scheduler.running
+                # before any queued request may claim free blocks.  A
+                # recompute victim has already reset ``prefill_done``, so
+                # list membership says which part of the batch it left.
+                for victim in scheduler.ensure_capacity():
+                    if victim in prefilling:
+                        prefilling.remove(victim)
+                    else:
+                        decode_count -= 1
+                        home_decode[victim.home_device] -= 1
+            for seq in scheduler.admit(clock):
+                if seq.prefill_done:  # swap-resumed in decode
+                    decode_count += 1
+                    home_decode[seq.home_device] += 1
+                else:
+                    prefilling.append(seq)
+                if seq.swapped_tokens:
+                    # A re-admitted swap victim restores its parked KV over
+                    # the host link before the batch may step; the stall is
+                    # serial (one PCIe link) and charged to the clock.
+                    blocks = block_manager.blocks_needed(seq.swapped_tokens)
+                    stall = blocks * self._swap_s_per_block
+                    resume_t0 = clock
+                    clock += stall
+                    swap_in_s += stall
+                    # What discarding instead would have cost: one
+                    # re-prefill pass over the swapped tokens.
+                    recompute_equivalent_s += self._latency(seq.swapped_tokens)
+                    if tracer is not None:
+                        tracer.swap_in(seq, resume_t0, clock, blocks, stall)
+                        tracer.now = clock
+                    seq.swapped_tokens = 0
             if not running:
                 if next_arrival < n_pending:
                     # Idle: jump the clock to the next arrival.
@@ -1342,10 +1331,10 @@ class ServingEngine:
                     continue
                 break
 
+            tokens = decode_count
             if multi:
-                tokens = 0
-                home_tokens = [0] * num_devices
-                for seq in running:
+                home_tokens = home_decode[:]
+                for seq in prefilling:
                     t = seq.tokens_this_iteration(chunk)
                     tokens += t
                     home_tokens[seq.home_device] += t
@@ -1367,8 +1356,7 @@ class ServingEngine:
                 straggler_max_s += max_compute
                 straggler_mean_s += mean_compute
             else:
-                tokens = 0
-                for seq in running:
+                for seq in prefilling:
                     tokens += seq.tokens_this_iteration(chunk)
                 step = self._iteration_cost(tokens, None)[0]
             if tracer is not None:
@@ -1431,73 +1419,79 @@ class ServingEngine:
                         peak_used_per_device[d] = u
 
             finished_any = False
-            if disagg:
-                # The walk additionally collects sequences whose prefill just
-                # completed: their KV must leave the prefill pool before the
-                # next iteration (first token already emitted — handoff
-                # delays the second).
-                handoff_ready: list[Sequence] | None = None
+            if decode_count:
+                # ``Sequence.advance``'s decode branch, fused.  It runs before
+                # the prefilling walk, so a sequence completing prefill in
+                # this iteration is not advanced twice.
                 for seq in running:
-                    was_prefill = not seq.prefill_done
+                    if seq.prefill_done:
+                        generated = seq.generated_tokens + 1
+                        seq.generated_tokens = generated
+                        if generated >= seq.request.max_new_tokens:
+                            seq.state = finished_state
+                            seq.finish_time = clock
+                            decode_count -= 1
+                            home_decode[seq.home_device] -= 1
+                            finished_any = True
+            if prefilling:
+                # Under disagg the walk collects the sequences whose prefill
+                # just completed: their KV must leave the prefill pool before
+                # the next iteration (first token already emitted — handoff
+                # delays the second); they join the decode counters on the
+                # device they land on.
+                handoff_ready: list[Sequence] = []
+                still_prefilling: list[Sequence] = []
+                for seq in prefilling:
                     seq.advance(clock, chunk)
-                    if seq.state is finished_state:
-                        finished_any = True
-                        if tracer is not None and was_prefill and seq.prefill_done:
-                            tracer.first_token(seq, clock)
-                    elif was_prefill and seq.prefill_done:
-                        if tracer is not None:
-                            tracer.first_token(seq, clock)
-                        if handoff_ready is None:
-                            handoff_ready = []
-                        handoff_ready.append(seq)
-                if handoff_ready:
-                    for seq in handoff_ready:
-                        req_id = seq.request.request_id
-                        blocks = block_manager.blocks_held(req_id)
-                        dst = -1
-                        best_free = -1
-                        for d in self._decode_pool:
-                            free = block_manager.free_blocks_on(d)
-                            if free >= blocks and free > best_free:
-                                best_free = free
-                                dst = d
-                        if dst < 0:
-                            # No decode device can hold the KV right now:
-                            # preempt off the prefill device instead
-                            # (preempt_mode decides recompute vs swap) and
-                            # retry the whole admission later.
-                            scheduler._preempt(seq)
-                            continue
-                        src = seq.home_device
-                        block_manager.migrate(req_id, src, dst)
-                        seq.home_device = dst
-                        stall = blocks * self._handoff_s_per_block
-                        transfer_t0 = clock
-                        clock += stall
-                        handoffs += 1
-                        handoff_blocks += blocks
-                        handoff_s += stall
-                        if tracer is not None:
-                            tracer.handoff(
-                                seq, transfer_t0, clock, src, dst, blocks, stall
-                            )
-                            tracer.now = clock
-            elif tracer is None:
-                for seq in running:
-                    seq.advance(clock, chunk)
-                    if seq.state is finished_state:
-                        finished_any = True
-            else:
-                for seq in running:
-                    was_prefill = not seq.prefill_done
-                    seq.advance(clock, chunk)
-                    if was_prefill and seq.prefill_done:
-                        # The iteration that completes (re-)prefill emits the
-                        # first token; a single-token request finishes in the
-                        # same iteration and its finish event follows below.
+                    if not seq.prefill_done:
+                        still_prefilling.append(seq)
+                        continue
+                    # The iteration that completes (re-)prefill emits the
+                    # first token; a single-token request finishes in the
+                    # same iteration and its finish event follows below.
+                    if tracer is not None:
                         tracer.first_token(seq, clock)
                     if seq.state is finished_state:
                         finished_any = True
+                    elif disagg:
+                        handoff_ready.append(seq)
+                    else:
+                        decode_count += 1
+                        home_decode[seq.home_device] += 1
+                prefilling = still_prefilling
+                for seq in handoff_ready:
+                    req_id = seq.request.request_id
+                    blocks = block_manager.blocks_held(req_id)
+                    dst = -1
+                    best_free = -1
+                    for d in self._decode_pool:
+                        free = block_manager.free_blocks_on(d)
+                        if free >= blocks and free > best_free:
+                            best_free = free
+                            dst = d
+                    if dst < 0:
+                        # No decode device can hold the KV right now:
+                        # preempt off the prefill device instead
+                        # (preempt_mode decides recompute vs swap) and
+                        # retry the whole admission later.
+                        scheduler._preempt(seq)
+                        continue
+                    src = seq.home_device
+                    block_manager.migrate(req_id, src, dst)
+                    seq.home_device = dst
+                    decode_count += 1
+                    home_decode[dst] += 1
+                    stall = blocks * self._handoff_s_per_block
+                    transfer_t0 = clock
+                    clock += stall
+                    handoffs += 1
+                    handoff_blocks += blocks
+                    handoff_s += stall
+                    if tracer is not None:
+                        tracer.handoff(
+                            seq, transfer_t0, clock, src, dst, blocks, stall
+                        )
+                        tracer.now = clock
             if finished_any:
                 scheduler.evict_finished()
                 if rebalance_pool:
@@ -1514,6 +1508,9 @@ class ServingEngine:
                             mover.request.request_id, src, dst
                         )
                         mover.home_device = dst
+                        if mover.prefill_done:
+                            home_decode[src] -= 1
+                            home_decode[dst] += 1
                         stall = blocks * self._handoff_s_per_block
                         transfer_t0 = clock
                         clock += stall

@@ -751,8 +751,12 @@ class OnDemandPolicy(AllocationPolicy):
         side effect), so the scheduler skips the sequence until its next
         token crosses into an unallocated block.  Inside the prefix region —
         the partial tail block, whose sharing state other sequences'
-        admissions and releases change — the threshold is left unarmed and
-        the sequence stays due on every emitting iteration.
+        admissions and releases change — the threshold is armed only once
+        the tail is private and unregistered (here after the free
+        un-registration, or in :meth:`grow` after the copy): blocks enter
+        the prefix index only when a fresh table is built at admission, and
+        are shared only through that index, so a private, unregistered
+        block stays so until this sequence releases it.
         """
         if not seq.emits_token_this_iteration(prefill_chunk):
             return 0  # mid-prefill chunks stay within the admission allocation
@@ -780,6 +784,7 @@ class OnDemandPolicy(AllocationPolicy):
         if pool.cow_cost(seq_id, write_pos):
             return 1
         pool.ensure_writable(seq_id, write_pos)
+        seq.kv_check_tokens = held * pool.block_size + 1
         return 0
 
     def grow(self, seq: Sequence, num_blocks: int) -> int:
@@ -790,8 +795,9 @@ class OnDemandPolicy(AllocationPolicy):
         victim's release may drop a shared block's last other holder, making
         the planned copy a free un-registration), so the executor re-derives
         boundary growth and falls back to :meth:`BlockManager.ensure_writable`
-        for the copy-on-write case.  Growth past the prefix region re-arms
-        the sequence's ``kv_check_tokens`` at the end of the grown table.
+        for the copy-on-write case.  Either way the written block is now
+        private and unregistered (fresh, copied or un-registered), so the
+        sequence's ``kv_check_tokens`` is re-armed at the end of its table.
         """
         request = seq.request
         seq_id = request.request_id
@@ -806,8 +812,7 @@ class OnDemandPolicy(AllocationPolicy):
             # (a no-op if a preemption just dropped the block's last sharer).
             pool.ensure_writable(seq_id, tokens_after - 1)
         held = pool.blocks_held(seq_id)
-        if tokens_after - 1 >= self._prefix_region(request):
-            seq.kv_check_tokens = held * pool.block_size + 1
+        seq.kv_check_tokens = held * pool.block_size + 1
         return held
 
 

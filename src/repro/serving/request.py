@@ -141,8 +141,9 @@ class Sequence:
     #: block and lands in a private, non-prefix block, so the scheduler's
     #: iteration boundary skips the sequence.  Armed by
     #: :class:`~repro.serving.kv_cache.OnDemandPolicy` to ``blocks_held *
-    #: block_size + 1`` once the write position is past the prefix region;
-    #: reset to 0 (check every emitting iteration) at each admission.
+    #: block_size + 1`` once the written block is private and unregistered
+    #: (past the prefix region, or a prefix tail made private); reset to 0
+    #: (check every emitting iteration) at each admission.
     kv_check_tokens: int = 0
     admission_time: float | None = None
     first_token_time: float | None = None

@@ -417,7 +417,7 @@ class ContinuousBatchingScheduler:
         (re-)prefill in the coming iteration, and decoding sequences whose
         ``prompt + generated + 1`` has reached their
         :attr:`~repro.serving.request.Sequence.kv_check_tokens` (the policy
-        arms it once the write position is past the prefix region, so a
+        arms it once the written block is private and unregistered, so a
         sequence is due again only when its next token crosses into an
         unallocated block).  Due sequences are visited in precedence order;
         when the pool cannot cover a deficit, the scheduling policy picks
@@ -430,8 +430,9 @@ class ContinuousBatchingScheduler:
 
         Skipping the rest is exact: a sequence that is not due is either
         mid-prefill, which the admission allocation already covers, or
-        writes into a block it holds that lies past every prefix-registered
-        slot — never shared, never registered — so its deficit is 0 and
+        writes into a block it holds that is private and unregistered —
+        past every prefix-registered slot, or a prefix tail an earlier
+        boundary copied or un-registered — so its deficit is 0 and
         :meth:`~repro.serving.kv_cache.AllocationPolicy.blocks_deficit`
         would have had no side effect.  Its held block count only changes
         through admission (which resets the threshold), growth (which

@@ -500,7 +500,9 @@ class TestPrefixSharingAdmission:
         r_table = pool.block_table(registrar.request.request_id)
         s_table = pool.block_table(sharer.request.request_id)
         assert r_table[:2] == s_table[:2] and r_table[2] != s_table[2]
-        assert registrar.kv_check_tokens == 0  # still inside the prefix region
+        # The copy made the tail private, so the threshold is armed at the
+        # end of the registrar's 3-block table.
+        assert registrar.kv_check_tokens == 3 * 8 + 1
         # The sharer, now sole holder of the indexed tail, wrote into it at
         # the same boundary, so a late group member hits full blocks only.
         late = sched.add_request(prefix_only(2))
