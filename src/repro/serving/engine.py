@@ -242,6 +242,24 @@ _RunTotals = tuple[
 ]
 
 
+#: One iteration's cost — everything the run loops and the tracer read:
+#: (step, max_compute, mean_compute, remote_tokens, hidden, comm,
+#: per_device).  ``step`` is the clock advance; ``max_compute`` and
+#: ``mean_compute`` the slowest device's compute and the mean over devices
+#: that received load (each summed over layers); ``remote_tokens`` the
+#: remote-routed token count, round-half-up of the exact rational;
+#: ``hidden``/``comm`` the communication hidden under the next layer's
+#: compute and the total un-overlapped communication (``None`` unless the
+#: cost is layered, i.e. overlap mode); ``per_device`` each device's
+#: compute, accumulated in layer order (``None`` on a single device).  The
+#: tracer omits ``None`` fields, so serial and single-device ``iter`` events
+#: keep their historical shape.  A plain tuple, not a NamedTuple: the
+#: single-device entry is built per general-loop iteration.
+_IterationCost = tuple[
+    float, float, float, int, float | None, float | None, tuple[float, ...] | None
+]
+
+
 def overlap_step_seconds(
     compute_s: Iterable[float], comm_s: Iterable[float], efficiency: float
 ) -> tuple[float, float]:
@@ -585,6 +603,15 @@ class ServingEngine:
             self._decode_placement = make_expert_placement(
                 self.config.placement, frequencies, self.config.decode_devices
             )
+        #: The cost model's concurrent pools, as the device mass of each over
+        #: consecutive global device indices: one pool spanning every
+        #: device, or the prefill pool then the decode pool.
+        self._pool_masses: tuple[tuple[float, ...], ...] = (self.placement.device_mass,)
+        if self._disagg:
+            self._pool_masses = (
+                self._prefill_placement.device_mass,
+                self._decode_placement.device_mass,
+            )
         #: Interconnect time to dispatch one routed token to a remote expert
         #: and combine its output back (hidden activations cross twice, FP16).
         self._alltoall_s_per_token = (
@@ -668,12 +695,14 @@ class ServingEngine:
         #: Memoized backend step latency per token-load (pure in the load for
         #: a fixed backend/spec, so it persists across runs).
         self._latency_cache: dict[int, float] = {}
-        #: Memoized per-iteration cost beyond the single-int latency cache:
-        #: keyed by the batch token count (single device) or by
-        #: ``(tokens, per-device home token counts)`` (multi-device), holding
-        #: the full ``(step, max_compute, mean_compute, remotes)`` result of
-        #: the device loop.
-        self._cost_cache: dict[object, tuple[Any, ...]] = {}
+        #: Memoized multi-device iteration cost, keyed by ``(tokens,
+        #: per-device home token counts)`` and holding the whole
+        #: ``_IterationCost`` tuple — the step, the straggler/traffic
+        #: accounting and the per-device compute the tracer reads.  A single
+        #: device reads ``_latency_cache`` instead.  Valid for the current
+        #: placement only: dynamic re-placement clears it in place (the fast
+        #: loop holds an alias, so it is never rebound).
+        self._cost_cache: dict[tuple[int, tuple[int, ...]], _IterationCost] = {}
 
         # -- telemetry (opt-in; see repro.serving.telemetry) ------------------
         #: Attached via :meth:`enable_telemetry`; ``None`` keeps every hook
@@ -683,17 +712,12 @@ class ServingEngine:
         #: ``telemetry_overhead_frac`` benchmark gate the latter).
         self.tracer: Tracer | None = None
         self.metrics: MetricsRegistry | None = None
-        #: Memoized per-device compute tuples for iteration trace events —
-        #: telemetry-only derived data, deliberately separate from
-        #: ``_cost_cache`` so enabling tracing cannot perturb the report
-        #: math's memo population order.
-        self._telemetry_cost_cache: dict[object, tuple[float, ...]] = {}
 
         # -- overlap-aware layered cost model --------------------------------
         self._overlap = self.config.overlap
         self._drift: RoutingDriftTracker | None = None
-        #: Bumped at every dynamic expert re-placement; part of the overlap
-        #: cost memo key (a re-packed layer changes every iteration cost) and
+        #: Bumped at every dynamic expert re-placement (which also clears the
+        #: cost memo: a re-packed layer changes every iteration cost) and
         #: stamped onto sequences at admission via the scheduler.
         self._placement_epoch = 0
         if self._overlap:
@@ -808,63 +832,6 @@ class ServingEngine:
             self._latency_cache[tokens] = latency
         return latency
 
-    def _telemetry_per_device(
-        self, tokens: int, home_key: tuple[int, ...]
-    ) -> tuple[float, ...]:
-        """Per-device compute seconds of one iteration, for trace events.
-
-        Derived from the same memoized latencies the cost model reads, but
-        kept in a separate telemetry-only memo: the report math's caches see
-        the identical access pattern whether or not tracing is on.  The
-        split depends only on the token count (device mass fixes the
-        shares; ``home_key`` shifts communication, not compute), so the key
-        is ``tokens`` — epoch-tagged under overlap, where re-placement
-        changes each layer's split.
-        """
-        pool_tokens: tuple[int, int] | None = None
-        if self._overlap:
-            key: object = (tokens, self._placement_epoch)
-        elif self._disagg:
-            # Each pool splits its *own* token share by its own placement's
-            # mass, so the split depends on the (prefill, decode) pool token
-            # pair rather than the batch total.
-            prefill = self.config.prefill_devices
-            pool_tokens = (sum(home_key[:prefill]), sum(home_key[prefill:]))
-            key = ("dg",) + pool_tokens
-        else:
-            key = tokens
-        entry = self._telemetry_cost_cache.get(key)
-        if entry is not None:
-            return entry
-        if self._overlap:
-            num_layers = self.spec.num_layers
-            per_device = [0.0] * len(self.device_group)
-            for mass in self.layered_placement.layer_mass:
-                for d, load in enumerate(split_tokens(tokens, mass)):
-                    if load:
-                        per_device[d] += self._latency(load) / num_layers
-            entry = tuple(per_device)
-        elif pool_tokens is not None:
-            computes = []
-            for placement, ptokens in zip(
-                (self._prefill_placement, self._decode_placement), pool_tokens
-            ):
-                if not ptokens:
-                    computes.extend([0.0] * len(placement.device_mass))
-                    continue
-                for load in split_tokens(ptokens, placement.device_mass):
-                    computes.append(self._latency(load) if load else 0.0)
-            entry = tuple(computes)
-        else:
-            entry = tuple(
-                self._latency(load) if load else 0.0
-                for load in split_tokens(tokens, self.placement.device_mass)
-            )
-        if len(self._telemetry_cost_cache) >= 262144:
-            self._telemetry_cost_cache.clear()
-        self._telemetry_cost_cache[key] = entry
-        return entry
-
     def _sample_metrics(
         self,
         metrics: MetricsRegistry,
@@ -905,14 +872,13 @@ class ServingEngine:
             # Dynamic re-placement mutates the layered placement mid-run;
             # rebuild it from the pristine profile so every run() starts from
             # the same state (run-to-run determinism), and drop the cost memo
-            # whose epoch-tagged keys would otherwise alias across runs.
+            # priced for the re-placed layout.
             if self._placement_epoch > 0:
                 self.layered_placement = LayeredExpertPlacement(
                     self.placement, self._layer_rows
                 )
                 self._placement_epoch = 0
                 self._cost_cache.clear()
-                self._telemetry_cost_cache.clear()
             if self._drift is not None:
                 self._drift.reset()
         # The steady-state fast path requires two properties the general loop
@@ -987,197 +953,128 @@ class ServingEngine:
 
     def _iteration_cost(
         self, tokens: int, home_key: tuple[int, ...] | None
-    ) -> tuple[float, float, float, tuple[float, ...] | None]:
+    ) -> _IterationCost:
         """Memoized cost of one iteration over ``tokens`` batch token rows.
 
-        The iteration costs the *max* over per-device costs: each device
-        runs its resident experts' share of the token load (split by routing
-        frequency mass — skew makes stragglers) plus the all-to-all dispatch
-        of routed tokens whose home device is not the expert's.  One device
-        degenerates to the whole batch at zero dispatch — the exact
-        pre-sharding iteration latency.
+        One model covers every mode: it walks MoE **layers** in sequence,
+        **pools** concurrently and **devices** within a pool.  Colocated
+        serial is 1 layer x 1 pool, disaggregation 1 layer x 2 pools
+        (prefill and decode run side by side, each on its own placement),
+        overlap ``num_layers`` layers x 1 pool (each layer split by its own
+        placement's mass — Fig. 3 skew differs by layer).
 
-        ``home_key`` is ``None`` on a single device (the cost depends only
-        on the token count) and the tuple of per-device home token counts
-        otherwise.  Returns ``(step, max_compute, mean_compute,
-        remote_tokens)``: the clock advance, the slowest device's compute,
-        the mean compute over devices that received load, and the
-        iteration's total remote-routed token count as an *integer*
-        (round-half-up of the exact rational Σ_d load_d·ept·(tokens -
-        home_d)/tokens; ``None`` single-device) — everything the caller
-        accumulates per iteration, so the memoized replay performs the
-        identical float operations the un-memoized loop did.  The *step*
-        math keeps the exact float remote term (the clock is pinned byte
-        for byte by the goldens); only the traffic *accounting* is integral.
+        In each layer, every pool with tokens splits its token share (the
+        ``home_key`` entries of its devices) by the layer's device mass;
+        a device's compute is the whole-model latency at its load divided
+        by the layer count (skew makes stragglers), and tokens routed to an
+        expert off their home device pay the all-to-all.  Unlayered, the
+        step is the max over devices of ``compute + remote * alltoall``;
+        layered, each layer costs its max compute and its all-to-all
+        overlaps with the next layer's compute through
+        :func:`overlap_step_seconds`.  ``max_compute``/``mean_compute`` sum
+        the per-layer slowest device and mean over loaded devices (a device
+        ``split_tokens`` hands zero tokens must not deflate the mean).
+        ``remote_tokens`` is the integer round-half-up of each pool's exact
+        rational mean per layer, Σ_l Σ_d load·ept·(pool tokens - home_d) /
+        (L·pool tokens), summed over pools; the *step* keeps the exact
+        float remote term (the clock is pinned byte for byte by the
+        goldens), only the traffic accounting is integral.
+
+        ``home_key`` is ``None`` on a single device: the whole batch at zero
+        dispatch, which is the exact pre-sharding step, read straight from
+        the latency memo.  The memo entry holds everything a caller
+        accumulates per iteration, so a memoized replay performs the
+        identical float operations the un-memoized loop did.
         """
-        key = tokens if home_key is None else (tokens, home_key)
-        entry = self._cost_cache.get(key)
-        if entry is not None:
-            return entry
         if home_key is None:
-            compute = self._latency(tokens)
-            entry = (compute, compute, compute, None)
-        else:
-            step = 0.0
-            max_compute = 0.0
-            iter_compute_s = 0.0
-            iter_loaded = 0
-            remote_numer = 0  # Σ_d load_d · ept · (tokens - home_d), exact int
-            experts_per_token = self.spec.experts_per_token
-            alltoall_s = self._alltoall_s_per_token
-            for d, load in enumerate(split_tokens(tokens, self.placement.device_mass)):
-                if load:
-                    compute = self._latency(load)
-                    # Straggler accounting covers only devices that received
-                    # token load this iteration: `split_tokens` hands a
-                    # low-mass device zero tokens in a small batch, and its
-                    # 0.0 compute must not deflate the mean.
-                    iter_compute_s += compute
-                    iter_loaded += 1
-                else:
-                    compute = 0.0
-                remote_int = load * experts_per_token * (tokens - home_key[d])
-                remote_numer += remote_int
-                remote = remote_int / tokens
-                max_compute = max(max_compute, compute)
-                step = max(step, compute + remote * alltoall_s)
-            mean_compute = iter_compute_s / iter_loaded if iter_loaded else 0.0
-            # Round-half-up of remote_numer / tokens: token counts are whole.
-            remote_tokens = (2 * remote_numer + tokens) // (2 * tokens)
-            entry = (step, max_compute, mean_compute, remote_tokens)
-        if len(self._cost_cache) >= 262144:
-            # Multi-device home mixes are unbounded in principle; keep the
-            # memo's footprint flat on adversarial workloads.
-            self._cost_cache.clear()
-        self._cost_cache[key] = entry
-        return entry
-
-    def _iteration_cost_disagg(
-        self, tokens: int, home_key: tuple[int, ...]
-    ) -> tuple[float, float, float, int]:
-        """Memoized cost of one disaggregated iteration.
-
-        The prefill pool and the decode pool run *concurrently*: each pool
-        splits its own token share (``home_key`` entries of its devices) by
-        its own placement's mass, pays its own all-to-all for tokens routed
-        to remote experts *within the pool*, and the iteration's step is the
-        max over every device of both pools.  A pool with no tokens this
-        iteration contributes nothing (its devices are idle).  Returns the
-        same ``(step, max_compute, mean_compute, remote_tokens)`` tuple as
-        :meth:`_iteration_cost`, with ``remote_tokens`` summed over pools
-        (round-half-up per pool, exact-integer accounting end to end).
-
-        Shares ``_cost_cache`` and the ``(tokens, home_key)`` key shape with
-        the colocated cost — safe because one engine instance is either
-        disaggregated or not for its whole lifetime.
-        """
+            latency = self._latency(tokens)
+            return (latency, latency, latency, 0, None, None, None)
         key = (tokens, home_key)
         entry = self._cost_cache.get(key)
         if entry is not None:
             return entry
+        layered = self._overlap
+        layers: list[tuple[tuple[float, ...], ...]]
+        if layered:
+            num_layers = self.spec.num_layers
+            layers = [(mass,) for mass in self.layered_placement.layer_mass]
+        else:
+            num_layers = 1
+            layers = [self._pool_masses]
+        pools: list[tuple[int, tuple[int, ...], int]] = []
+        start = 0
+        for mass in self._pool_masses:
+            pool_home = home_key[start:start + len(mass)]
+            pools.append((start, pool_home, sum(pool_home)))
+            start += len(mass)
         experts_per_token = self.spec.experts_per_token
         alltoall_s = self._alltoall_s_per_token
-        prefill = self.config.prefill_devices
-        step = 0.0
-        max_compute = 0.0
-        iter_compute_s = 0.0
-        iter_loaded = 0
-        remote_tokens = 0
-        for placement, pool_home in (
-            (self._prefill_placement, home_key[:prefill]),
-            (self._decode_placement, home_key[prefill:]),
-        ):
-            pool_tokens = sum(pool_home)
-            if not pool_tokens:
-                continue
-            remote_numer = 0
-            for d, load in enumerate(split_tokens(pool_tokens, placement.device_mass)):
-                if load:
-                    compute = self._latency(load)
-                    iter_compute_s += compute
-                    iter_loaded += 1
-                else:
-                    compute = 0.0
-                remote_int = load * experts_per_token * (pool_tokens - pool_home[d])
-                remote_numer += remote_int
-                remote = remote_int / pool_tokens
-                max_compute = max(max_compute, compute)
-                step = max(step, compute + remote * alltoall_s)
-            remote_tokens += (2 * remote_numer + pool_tokens) // (2 * pool_tokens)
-        mean_compute = iter_compute_s / iter_loaded if iter_loaded else 0.0
-        entry = (step, max_compute, mean_compute, remote_tokens)
-        if len(self._cost_cache) >= 262144:
-            self._cost_cache.clear()
-        self._cost_cache[key] = entry
-        return entry
-
-    def _iteration_cost_overlap(
-        self, tokens: int, home_key: tuple[int, ...]
-    ) -> tuple[float, float, float, int, float, float]:
-        """Memoized layered cost of one iteration under the overlap model.
-
-        Decomposes the whole-model iteration into ``num_layers`` MoE layers:
-        layer ``l`` splits the batch by *its own* placement's device mass
-        (Fig. 3 skew differs by layer), costs ``max_d compute_{l,d}`` on the
-        critical path, and its all-to-all overlaps with layer ``l + 1``'s
-        compute through :func:`overlap_step_seconds`.  Per-device compute at
-        a given load is the whole-model latency divided by ``num_layers`` —
-        so a layered run whose layers all split identically reproduces the
-        serial device-loop costs exactly.
-
-        Keyed by ``(tokens, home_key, placement_epoch)``: dynamic
-        re-placement changes every layer cost, so epochs must not share memo
-        entries.  Returns ``(step, max_compute, mean_compute, remote_tokens,
-        hidden_s, comm_s)`` — the serial tuple plus the iteration's hidden
-        communication seconds and total (un-overlapped) communication
-        seconds.
-        """
-        key = (tokens, home_key, self._placement_epoch)
-        entry = self._cost_cache.get(key)
-        if entry is not None:
-            return entry
-        spec = self.spec
-        num_layers = spec.num_layers
-        experts_per_token = spec.experts_per_token
-        alltoall_layer_s = self._alltoall_s_per_layer_token
+        per_device = [0.0] * len(home_key)
+        remote_numer = [0] * len(pools)  # per pool, exact int
         computes: list[float] = []
-        comms: list[float] = []
-        max_compute_s = 0.0
-        mean_compute_s = 0.0
-        remote_numer = 0
-        for mass in self.layered_placement.layer_mass:
+        remotes: list[float] = []
+        fused = 0.0  # unlayered step: max_d (compute_d + remote_d * alltoall_s)
+        max_compute = 0.0
+        mean_compute = 0.0
+        for masses in layers:
             layer_max = 0.0
             layer_sum = 0.0
             layer_loaded = 0
             layer_remote = 0.0
-            for d, load in enumerate(split_tokens(tokens, mass)):
-                if load:
-                    compute = self._latency(load) / num_layers
-                    layer_sum += compute
-                    layer_loaded += 1
-                    if compute > layer_max:
-                        layer_max = compute
-                remote_int = load * experts_per_token * (tokens - home_key[d])
-                remote_numer += remote_int
-                remote = remote_int / tokens
-                if remote > layer_remote:
-                    layer_remote = remote
+            for p, mass in enumerate(masses):
+                start, pool_home, pool_tokens = pools[p]
+                if not pool_tokens:
+                    continue  # the pool is idle this iteration
+                for d, load in enumerate(split_tokens(pool_tokens, mass)):
+                    if load:
+                        compute = self._latency(load) / num_layers
+                        per_device[start + d] += compute
+                        layer_sum += compute
+                        layer_loaded += 1
+                        if compute > layer_max:
+                            layer_max = compute
+                    else:
+                        compute = 0.0
+                    remote_int = load * experts_per_token * (pool_tokens - pool_home[d])
+                    remote_numer[p] += remote_int
+                    remote = remote_int / pool_tokens
+                    if remote > layer_remote:
+                        layer_remote = remote
+                    serial = compute + remote * alltoall_s
+                    if serial > fused:
+                        fused = serial
             computes.append(layer_max)
-            comms.append(layer_remote * alltoall_layer_s)
-            max_compute_s += layer_max
-            mean_compute_s += layer_sum / layer_loaded if layer_loaded else 0.0
-        step, hidden_s = overlap_step_seconds(
-            computes, comms, self._overlap_efficiency
+            remotes.append(layer_remote)
+            max_compute += layer_max
+            mean_compute += layer_sum / layer_loaded if layer_loaded else 0.0
+        hidden: float | None = None
+        comm: float | None = None
+        if layered:
+            comms = [r * self._alltoall_s_per_layer_token for r in remotes]
+            step, hidden = overlap_step_seconds(
+                computes, comms, self._overlap_efficiency
+            )
+            # Sequential adds, not sum(): Python 3.12's sum() compensates
+            # float rounding, which would change the pinned bits.
+            comm = 0.0
+            for c in comms:
+                comm += c
+        else:
+            step = fused
+        # Mean remote tokens per layer, round-half-up per pool (token counts
+        # are whole) — comparable to the unlayered whole-model accounting.
+        remote_tokens = 0
+        for (_, _, pool_tokens), numer in zip(pools, remote_numer):
+            if pool_tokens:
+                denom = num_layers * pool_tokens
+                remote_tokens += (2 * numer + denom) // (2 * denom)
+        entry = (
+            step, max_compute, mean_compute, remote_tokens, hidden, comm,
+            tuple(per_device),
         )
-        comm_s = 0.0
-        for c in comms:
-            comm_s += c
-        # Mean remote tokens per layer, round-half-up — comparable to the
-        # serial engine's once-per-iteration whole-model accounting.
-        denom = num_layers * tokens
-        remote_tokens = (2 * remote_numer + denom) // (2 * denom)
-        entry = (step, max_compute_s, mean_compute_s, remote_tokens, hidden_s, comm_s)
         if len(self._cost_cache) >= 262144:
+            # Multi-device home mixes are unbounded in principle; keep the
+            # memo's footprint flat on adversarial workloads.
             self._cost_cache.clear()
         self._cost_cache[key] = entry
         return entry
@@ -1207,6 +1104,7 @@ class ServingEngine:
         if not moved:
             return 0.0
         self._placement_epoch += 1
+        self._cost_cache.clear()  # priced for the old layout
         scheduler.placement_epoch = self._placement_epoch
         return expert_migration_seconds(
             moved, self._expert_layer_bytes, self.backend.device.interconnect_bandwidth
@@ -1262,10 +1160,9 @@ class ServingEngine:
         chunk = scheduler.config.prefill_chunk
         grows = scheduler.allocation.grows
         multi = num_devices > 1
-        overlap_mode = self._overlap
         disagg = self._disagg
         rebalance_pool = disagg and len(self._decode_pool) > 1
-        drift = self._drift if overlap_mode else None
+        drift = self._drift
         last_ckey = None
         block_manager = self.block_manager
         finished_state = RequestState.FINISHED
@@ -1332,6 +1229,7 @@ class ServingEngine:
                 break
 
             tokens = decode_count
+            home_key: tuple[int, ...] | None = None
             if multi:
                 home_tokens = home_decode[:]
                 for seq in prefilling:
@@ -1339,26 +1237,18 @@ class ServingEngine:
                     tokens += t
                     home_tokens[seq.home_device] += t
                 home_key = tuple(home_tokens)
-                if overlap_mode:
-                    (step, max_compute, mean_compute, remote_tokens,
-                     hidden, comm) = self._iteration_cost_overlap(tokens, home_key)
-                    hidden_comm_s += hidden
-                    comm_total_s += comm
-                elif disagg:
-                    step, max_compute, mean_compute, remote_tokens = (
-                        self._iteration_cost_disagg(tokens, home_key)
-                    )
-                else:
-                    step, max_compute, mean_compute, remote_tokens = (
-                        self._iteration_cost(tokens, home_key)
-                    )
-                alltoall_tokens += remote_tokens
-                straggler_max_s += max_compute
-                straggler_mean_s += mean_compute
             else:
                 for seq in prefilling:
                     tokens += seq.tokens_this_iteration(chunk)
-                step = self._iteration_cost(tokens, None)[0]
+            (step, max_compute, mean_compute, remote_tokens, hidden, comm,
+             per_device) = self._iteration_cost(tokens, home_key)
+            if multi:
+                alltoall_tokens += remote_tokens
+                straggler_max_s += max_compute
+                straggler_mean_s += mean_compute
+                if hidden is not None and comm is not None:
+                    hidden_comm_s += hidden
+                    comm_total_s += comm
             if tracer is not None:
                 iter_t0 = clock  # float addition is not invertible
             clock += step
@@ -1380,24 +1270,12 @@ class ServingEngine:
                             iter_stall = stall
             batch = len(running)
             if tracer is not None:
-                if multi:
-                    if overlap_mode:
-                        tracer.iteration(
-                            iterations - 1, iter_t0, clock, tokens, batch,
-                            compute=self._telemetry_per_device(tokens, home_key),
-                            max_compute=max_compute, mean_compute=mean_compute,
-                            remote_tokens=remote_tokens,
-                            hidden=hidden, comm=comm, stall=iter_stall,
-                        )
-                    else:
-                        tracer.iteration(
-                            iterations - 1, iter_t0, clock, tokens, batch,
-                            compute=self._telemetry_per_device(tokens, home_key),
-                            max_compute=max_compute, mean_compute=mean_compute,
-                            remote_tokens=remote_tokens, stall=iter_stall,
-                        )
-                else:
-                    tracer.iteration(iterations - 1, iter_t0, clock, tokens, batch)
+                tracer.iteration(
+                    iterations - 1, iter_t0, clock, tokens, batch,
+                    compute=per_device, max_compute=max_compute,
+                    mean_compute=mean_compute, remote_tokens=remote_tokens,
+                    hidden=hidden, comm=comm, stall=iter_stall,
+                )
                 iter_stall = 0.0
                 tracer.now = clock  # finish/KV-free events below carry it
             if metrics is not None and clock >= metrics_due:
@@ -1554,6 +1432,12 @@ class ServingEngine:
         exact per-iteration float operations (bit-identical clock).  The
         decode token counts the per-iteration walk would read are
         materialized onto the sequence at its finish event.
+
+        A compressed stretch replays one cost entry in one of three tight
+        loops: untraced single-device (an unchecked bulk prefix of clock
+        adds), untraced multi-device (plus the cluster accumulations), and
+        traced (either device count, synthesizing the per-iteration events
+        and metrics samples the general loop would emit).
         """
         clock = 0.0
         next_arrival = 0
@@ -1574,8 +1458,7 @@ class ServingEngine:
         replacements = 0
         chunk = scheduler.config.prefill_chunk
         multi = num_devices > 1
-        overlap_mode = self._overlap
-        drift = self._drift if overlap_mode else None
+        drift = self._drift
         last_ckey = None
         block_manager = self.block_manager
         finished_state = RequestState.FINISHED
@@ -1589,6 +1472,14 @@ class ServingEngine:
         finish_heap: list[tuple[int, int, Sequence]] = []
         admit_dirty = False
         cost_cache = self._cost_cache
+        latency_cache = self._latency_cache
+        #: A single device steps by the memoized latency alone; its cluster
+        #: fields keep these values (the tracer omits ``None`` fields).
+        max_compute = mean_compute = 0.0
+        remote_tokens = 0
+        hidden: float | None = None
+        comm: float | None = None
+        per_device: tuple[float, ...] | None = None
         heappush = heapq.heappush
         heappop = heapq.heappop
         waiting = scheduler.waiting
@@ -1657,29 +1548,19 @@ class ServingEngine:
                 else:
                     home_tokens = home_decode
                 home_key = tuple(home_tokens)
-                if overlap_mode:
-                    key = (tokens, home_key, self._placement_epoch)
-                    entry = cost_cache.get(key)
-                    if entry is None:
-                        entry = self._iteration_cost_overlap(tokens, home_key)
-                    (step, max_compute, mean_compute, remote_tokens,
-                     hidden, comm) = entry
-                    hidden_comm_s += hidden
-                    comm_total_s += comm
-                else:
-                    key = (tokens, home_key)
-                    entry = cost_cache.get(key)
-                    if entry is None:
-                        entry = self._iteration_cost(*key)
-                    step, max_compute, mean_compute, remote_tokens = entry
+                entry = cost_cache.get((tokens, home_key))
+                if entry is None:
+                    entry = self._iteration_cost(tokens, home_key)
+                (step, max_compute, mean_compute, remote_tokens, hidden, comm,
+                 per_device) = entry
                 alltoall_tokens += remote_tokens
                 straggler_max_s += max_compute
                 straggler_mean_s += mean_compute
+                if hidden is not None and comm is not None:
+                    hidden_comm_s += hidden
+                    comm_total_s += comm
             else:
-                entry = cost_cache.get(tokens)
-                if entry is None:
-                    entry = self._iteration_cost(tokens, None)
-                step = entry[0]
+                step = latency_cache.get(tokens) or self._latency(tokens)
             if tracer is not None:
                 iter_t0 = clock
             clock += step
@@ -1698,25 +1579,12 @@ class ServingEngine:
                         if tracer is not None:
                             iter_stall = stall
             if tracer is not None:
-                ibatch = len(running)
-                if multi:
-                    if overlap_mode:
-                        tracer.iteration(
-                            iterations - 1, iter_t0, clock, tokens, ibatch,
-                            compute=self._telemetry_per_device(tokens, home_key),
-                            max_compute=max_compute, mean_compute=mean_compute,
-                            remote_tokens=remote_tokens,
-                            hidden=hidden, comm=comm, stall=iter_stall,
-                        )
-                    else:
-                        tracer.iteration(
-                            iterations - 1, iter_t0, clock, tokens, ibatch,
-                            compute=self._telemetry_per_device(tokens, home_key),
-                            max_compute=max_compute, mean_compute=mean_compute,
-                            remote_tokens=remote_tokens, stall=iter_stall,
-                        )
-                else:
-                    tracer.iteration(iterations - 1, iter_t0, clock, tokens, ibatch)
+                tracer.iteration(
+                    iterations - 1, iter_t0, clock, tokens, len(running),
+                    compute=per_device, max_compute=max_compute,
+                    mean_compute=mean_compute, remote_tokens=remote_tokens,
+                    hidden=hidden, comm=comm, stall=iter_stall,
+                )
                 iter_stall = 0.0
                 tracer.now = clock  # finish/KV-free events below carry it
             if metrics is not None and clock >= metrics_due:
@@ -1788,138 +1656,74 @@ class ServingEngine:
                     # before compressing; the general loop observes at
                     # exactly that iteration too.
                     continue
-                if overlap_mode:
-                    key = (tokens, home_key, self._placement_epoch)
-                    entry = cost_cache.get(key)
-                    if entry is None:
-                        entry = self._iteration_cost_overlap(tokens, home_key)
-                    (step, max_compute, mean_compute, remote_tokens,
-                     hidden, comm) = entry
-                else:
-                    key = (tokens, home_key)
-                    entry = cost_cache.get(key)
-                    if entry is None:
-                        entry = self._iteration_cost(*key)
-                    step, max_compute, mean_compute, remote_tokens = entry
-            else:
-                entry = cost_cache.get(tokens)
+                entry = cost_cache.get((tokens, home_key))
                 if entry is None:
-                    entry = self._iteration_cost(tokens, None)
-                step = entry[0]
-            done = 0
-            if tracer is None and metrics is None:
-                if multi:
-                    if overlap_mode:
-                        while done < span and next_at > clock:
-                            alltoall_tokens += remote_tokens
-                            straggler_max_s += max_compute
-                            straggler_mean_s += mean_compute
-                            hidden_comm_s += hidden
-                            comm_total_s += comm
-                            clock += step
-                            done += 1
-                    else:
-                        while done < span and next_at > clock:
-                            alltoall_tokens += remote_tokens
-                            straggler_max_s += max_compute
-                            straggler_mean_s += mean_compute
-                            clock += step
-                            done += 1
-                else:
-                    # Conservative unchecked prefix: after k additions the
-                    # accumulated rounding error is far below one step, so
-                    # ``(next_at - clock)/step - 2`` iterations provably keep
-                    # ``clock < next_at`` throughout — run them without the
-                    # per-iteration comparison, then finish checked.  The adds
-                    # themselves stay the exact sequential ``clock += step`` the
-                    # uncompressed loop performs (bit-identical clock).
-                    bulk = span
-                    if next_at is not inf and step > 0.0:
-                        safe = int((next_at - clock) / step) - 2
-                        if safe < bulk:
-                            bulk = safe
-                    if bulk > 0:
-                        for _ in range(bulk):
-                            clock += step
-                        done = bulk
-                    while done < span and next_at > clock:
-                        clock += step
-                        done += 1
+                    entry = self._iteration_cost(tokens, home_key)
+                (step, max_compute, mean_compute, remote_tokens, hidden, comm,
+                 per_device) = entry
             else:
+                step = latency_cache.get(tokens) or self._latency(tokens)
+            done = 0
+            if tracer is not None or metrics is not None:
                 # Telemetry variant of the macro step: the identical float
                 # accumulations in the identical order (bit-identical clock
-                # and totals — the single-device checked loop performs the
-                # same sequential ``clock += step`` adds the unchecked bulk
-                # prefix does), plus one synthesized iter event and a due
-                # check per compressed iteration, so the span stream matches
-                # the general loop's byte for byte.
+                # and totals — the checked loop performs the same sequential
+                # ``clock += step`` adds the unchecked bulk prefix does),
+                # plus one synthesized iter event and a due check per
+                # compressed iteration, so the span stream matches the
+                # general loop's byte for byte.
                 ibatch = len(running)
-                if multi:
-                    pd = (
-                        self._telemetry_per_device(tokens, home_key)
-                        if tracer is not None
-                        else None
-                    )
-                    if overlap_mode:
-                        while done < span and next_at > clock:
-                            alltoall_tokens += remote_tokens
-                            straggler_max_s += max_compute
-                            straggler_mean_s += mean_compute
-                            hidden_comm_s += hidden
-                            comm_total_s += comm
-                            iter_t0 = clock
-                            clock += step
-                            done += 1
-                            if tracer is not None:
-                                tracer.iteration(
-                                    iterations + done - 1, iter_t0, clock,
-                                    tokens, ibatch, compute=pd,
-                                    max_compute=max_compute,
-                                    mean_compute=mean_compute,
-                                    remote_tokens=remote_tokens,
-                                    hidden=hidden, comm=comm,
-                                )
-                            if metrics is not None and clock >= metrics_due:
-                                metrics_due = self._sample_metrics(
-                                    metrics, scheduler, clock,
-                                    iterations + done, ibatch,
-                                )
-                    else:
-                        while done < span and next_at > clock:
-                            alltoall_tokens += remote_tokens
-                            straggler_max_s += max_compute
-                            straggler_mean_s += mean_compute
-                            iter_t0 = clock
-                            clock += step
-                            done += 1
-                            if tracer is not None:
-                                tracer.iteration(
-                                    iterations + done - 1, iter_t0, clock,
-                                    tokens, ibatch, compute=pd,
-                                    max_compute=max_compute,
-                                    mean_compute=mean_compute,
-                                    remote_tokens=remote_tokens,
-                                )
-                            if metrics is not None and clock >= metrics_due:
-                                metrics_due = self._sample_metrics(
-                                    metrics, scheduler, clock,
-                                    iterations + done, ibatch,
-                                )
-                else:
-                    while done < span and next_at > clock:
-                        iter_t0 = clock
+                while done < span and next_at > clock:
+                    alltoall_tokens += remote_tokens
+                    straggler_max_s += max_compute
+                    straggler_mean_s += mean_compute
+                    if hidden is not None and comm is not None:
+                        hidden_comm_s += hidden
+                        comm_total_s += comm
+                    iter_t0 = clock
+                    clock += step
+                    done += 1
+                    if tracer is not None:
+                        tracer.iteration(
+                            iterations + done - 1, iter_t0, clock, tokens, ibatch,
+                            compute=per_device, max_compute=max_compute,
+                            mean_compute=mean_compute, remote_tokens=remote_tokens,
+                            hidden=hidden, comm=comm,
+                        )
+                    if metrics is not None and clock >= metrics_due:
+                        metrics_due = self._sample_metrics(
+                            metrics, scheduler, clock, iterations + done, ibatch
+                        )
+            elif multi:
+                while done < span and next_at > clock:
+                    alltoall_tokens += remote_tokens
+                    straggler_max_s += max_compute
+                    straggler_mean_s += mean_compute
+                    if hidden is not None and comm is not None:
+                        hidden_comm_s += hidden
+                        comm_total_s += comm
+                    clock += step
+                    done += 1
+            else:
+                # Conservative unchecked prefix: after k additions the
+                # accumulated rounding error is far below one step, so
+                # ``(next_at - clock)/step - 2`` iterations provably keep
+                # ``clock < next_at`` throughout — run them without the
+                # per-iteration comparison, then finish checked.  The adds
+                # themselves stay the exact sequential ``clock += step`` the
+                # uncompressed loop performs (bit-identical clock).
+                bulk = span
+                if next_at is not inf and step > 0.0:
+                    safe = int((next_at - clock) / step) - 2
+                    if safe < bulk:
+                        bulk = safe
+                if bulk > 0:
+                    for _ in range(bulk):
                         clock += step
-                        done += 1
-                        if tracer is not None:
-                            tracer.iteration(
-                                iterations + done - 1, iter_t0, clock,
-                                tokens, ibatch,
-                            )
-                        if metrics is not None and clock >= metrics_due:
-                            metrics_due = self._sample_metrics(
-                                metrics, scheduler, clock, iterations + done,
-                                ibatch,
-                            )
+                    done = bulk
+                while done < span and next_at > clock:
+                    clock += step
+                    done += 1
             iterations += done
             total_tokens += tokens * done
 

@@ -130,13 +130,25 @@ def test_disagg_swap_modes_fast_flag_is_inert():
     assert fast == general
 
 
-def test_cost_cache_reuse_across_runs_is_byte_identical():
+@pytest.mark.parametrize(
+    "config_kwargs",
+    [
+        CONFIGS["reserve_1dev"],
+        CONFIGS["reserve_4dev"],
+        # Re-placement clears the cost memo mid-run, and the next run()
+        # resets the layered placement (and the memo) to the profile.
+        CONFIGS["overlap_replace"],
+        dict(devices=3, prefill_devices=1, decode_devices=2),
+    ],
+    ids=["reserve_1dev", "reserve_4dev", "overlap_replace", "disagg"],
+)
+def test_cost_cache_reuse_across_runs_is_byte_identical(config_kwargs):
     """One engine serving the same workload twice (warm latency/cost memo)
     reports byte-identically to a cold engine."""
     workload = poisson_workload(num_requests=60, qps=10.0, seed=26)
-    warm_engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", EngineConfig())
+    warm_engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", EngineConfig(**config_kwargs))
     warm_engine.run(workload)  # populate the memo
     warm = json.dumps(warm_engine.run(workload).to_dict(), sort_keys=True)
-    cold_engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", EngineConfig())
+    cold_engine = ServingEngine(MiLoBackend(), "mixtral-8x7b", EngineConfig(**config_kwargs))
     cold = json.dumps(cold_engine.run(workload).to_dict(), sort_keys=True)
     assert warm == cold

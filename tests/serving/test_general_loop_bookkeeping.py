@@ -6,7 +6,7 @@ plus a per-device home split, updated at admission, preemption, prefill
 completion, finish, handoff and rebalance.  This module checks that
 bookkeeping on seeded runs:
 
-* **Oracle** — the engine's per-iteration cost entry points are wrapped, and
+* **Oracle** — the engine's one per-iteration cost entry point is wrapped, and
   the token count and home split each receives must equal
   ``scheduler.batch_tokens()`` and a per-device recount over ``running`` at
   that boundary; every iteration is checked exactly once.  After the run,
@@ -101,8 +101,7 @@ class BatchOracle:
             return scheduler
 
         engine.make_scheduler = watched_scheduler
-        for name in ("_iteration_cost", "_iteration_cost_disagg", "_iteration_cost_overlap"):
-            setattr(engine, name, self._checked(getattr(engine, name)))
+        engine._iteration_cost = self._checked(engine._iteration_cost)
 
     def _checked(self, cost):
         def checked(tokens, home_key):

@@ -7,7 +7,7 @@ docstring makes:
    decode synthesizes byte-for-byte the same trace and metrics streams the
    general per-iteration loop emits, across every engine mode (chunked
    prefill, prefix sharing, cluster, overlap, dynamic re-placement, reject
-   admission).
+   admission, disaggregation).
 2. **Disabled-path byte identity** — attaching no tracer/registry leaves
    the report byte-identical to a run with telemetry attached: hooks
    observe, never perturb.
@@ -56,6 +56,7 @@ CONFIGS = {
     "overlap": dict(devices=4, overlap=True),
     "replace": dict(devices=2, overlap=True, replacement_threshold=0.05),
     "reject": dict(admission="reject", max_batch_size=8),
+    "disagg": dict(devices=3, prefill_devices=1, decode_devices=2),
 }
 
 #: On-demand growth under KV pressure: exercises grow/cow/preempt events.
@@ -165,6 +166,25 @@ def test_event_timestamps_monotonic_per_iteration():
     for prev, cur in zip(iters, iters[1:]):
         assert prev["t1"] <= cur["t0"]  # idle gaps allowed, overlap not
         assert cur["t0"] <= cur["t1"]
+
+
+def test_iter_compute_prices_the_same_layout_as_its_step():
+    """An ``iter`` event's per-device compute row and its ``mean`` come from
+    one cost entry — including the iteration that triggers a re-placement,
+    whose row must describe the layout that priced its step, not the one
+    installed after it.  With every device loaded in every layer (large
+    batches on 2 devices), ``mean`` is the row's average up to float
+    summation order."""
+    _, tracer, _ = run_traced(CONFIGS["replace"], WORKLOADS["mixed"])
+    checked = stalled = 0
+    for event in tracer.events:
+        if event["kind"] != "iter" or event["tokens"] < 64:
+            continue
+        row = event["compute"]
+        assert abs(sum(row) / len(row) - event["mean"]) <= 1e-12 * event["mean"]
+        checked += 1
+        stalled += "stall" in event
+    assert checked > 0 and stalled == 1
 
 
 def test_metrics_sampling_grid_aligned():
